@@ -8,9 +8,12 @@ chunk fingerprinting), and only a stopwatch can show that.
 
 Methodology:
 
-* **serial baseline** — the untouched pre-engine path: the chunker's own
-  ``boundaries`` scan, then a ``next_cut`` walk fingerprinting every
-  chunk with :func:`repro.fingerprint.hashing.fingerprint`.
+* **serial baseline** — the in-process path ``workers=0`` takes: the
+  chunker's own ``boundaries`` scan (the same log-doubling kernel every
+  worker runs), then a ``next_cut`` walk fingerprinting every chunk with
+  :func:`repro.fingerprint.hashing.fingerprint`.  Because both sides run
+  one kernel, a speedup here is real thread scaling of the scan slabs
+  and the pooled fingerprints.
 * **parallel points** — ``ParallelExecutor(w).chunk_and_fingerprint``
   for each worker count in ``WALLCLOCK_WORKERS`` (default ``1,2,4,8``),
   best-of-``ROUNDS`` like the zero-copy microbench.
@@ -65,7 +68,7 @@ def _sdb_stream(sdb_small) -> bytes:
 
 
 def _serial_chunk_fingerprint(chunker, data: bytes):
-    """The pre-engine ingest path, staged for the breakdown."""
+    """The in-process (``workers=0``) ingest path, staged for the breakdown."""
     start = time.perf_counter()
     boundary_set = chunker.boundaries(data)
     chunk_seconds = time.perf_counter() - start

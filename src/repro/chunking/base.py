@@ -11,11 +11,54 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ChunkingError
+
+#: A chunker's cut positions: (permissive, strict), int64 stream offsets in
+#: ascending order; ``strict`` is None when it equals ``permissive``.
+ScanPositions = tuple[np.ndarray, np.ndarray | None]
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+
+
+def windowed_hashes(
+    values: np.ndarray,
+    window: int,
+    combine: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+) -> np.ndarray:
+    """The rolling hash of every ``window``-wide run of ``values``.
+
+    Entry ``j`` covers ``values[j : j + window]``.  ``combine(left, right,
+    span)`` appends the hash of the ``span``-wide run ``right`` to the hash
+    ``left`` of the run just before it.  Log doubling builds the hashes of
+    every power-of-two span in O(log window) whole-array passes, keeping the
+    spans that make up ``window`` (48 = 32 + 16), then folds those widest
+    first — instead of one pass per window byte.
+    """
+    n = len(values)
+    if n < window:
+        return values[:0]
+    parts: list[tuple[int, np.ndarray]] = []  # (span, hashes), narrowest first
+    hashes, span = values, 1
+    while True:
+        if window & span:
+            parts.append((span, hashes))
+        if span * 2 > window:
+            break
+        count = n - 2 * span + 1
+        hashes = combine(hashes[:count], hashes[span : span + count], span)
+        span *= 2
+    covered, result = parts.pop()
+    while parts:
+        span, hashes = parts.pop()
+        count = n - covered - span + 1
+        result = combine(result[:count], hashes[covered : covered + count], span)
+        covered += span
+    return result
 
 
 @dataclass(frozen=True)
@@ -155,9 +198,21 @@ class Chunker(ABC):
 
     #: Cost-model algorithm key ("rabin", "gear", "fastcdc", "fixed").
     name: str = "abstract"
+    #: Bytes behind one rolling hash; 0 when there is no hash condition.
+    window: int = 0
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         self.params = params or ChunkerParams()
+
+    def scan(self, data: bytes | memoryview) -> ScanPositions:
+        """Cut positions of ``data``: the end of every full ``window``-byte
+        run whose hash meets the cut condition.
+
+        A position depends only on the window ending there, so a buffer may
+        be scanned in slabs overlapping by ``window - 1`` bytes, each slab's
+        positions shifted by its origin.
+        """
+        return _NO_POSITIONS, None
 
     @abstractmethod
     def boundaries(self, data: bytes) -> BoundarySet:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chunking.base import BoundarySet, Chunker, ChunkerParams
-from repro.chunking.gear import WINDOW, gear_hash_positions, top_bits_mask
+from repro.chunking.base import BoundarySet, Chunker, ChunkerParams, ScanPositions
+from repro.chunking.gear import WINDOW, gear_hashes, top_bits_mask
 
 #: Normalization level: strict mask has +NC bits, permissive has -NC bits.
 NORMALIZATION = 2
@@ -23,6 +23,7 @@ class FastCDCChunker(Chunker):
     """FastCDC with two-level normalized chunking."""
 
     name = "fastcdc"
+    window = WINDOW
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         super().__init__(params)
@@ -37,20 +38,11 @@ class FastCDCChunker(Chunker):
         self._strict_mask = top_bits_mask(strict_bits)
         self._permissive_mask = top_bits_mask(permissive_bits)
 
-    @property
-    def strict_mask(self) -> np.uint64:
-        """Strict cut mask applied before the average size."""
-        return self._strict_mask
-
-    @property
-    def permissive_mask(self) -> np.uint64:
-        """Permissive cut mask applied after the average size."""
-        return self._permissive_mask
+    def scan(self, data: bytes | memoryview) -> ScanPositions:
+        hashes = gear_hashes(data)
+        permissive = np.flatnonzero((hashes & self._permissive_mask) == 0)
+        strict = np.flatnonzero((hashes & self._strict_mask) == 0)
+        return permissive + WINDOW, strict + WINDOW
 
     def boundaries(self, data: bytes) -> BoundarySet:
-        hashes = gear_hash_positions(data)
-        permissive_hits = np.nonzero((hashes & self._permissive_mask) == 0)[0]
-        permissive = permissive_hits.astype(np.int64) + WINDOW
-        strict_hits = np.nonzero((hashes & self._strict_mask) == 0)[0]
-        strict = strict_hits.astype(np.int64) + WINDOW
-        return BoundarySet(len(data), self.params, permissive, strict)
+        return BoundarySet(len(data), self.params, *self.scan(data))

@@ -11,54 +11,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chunking.base import BoundarySet, Chunker, ChunkerParams
+from repro.chunking.base import (
+    BoundarySet,
+    Chunker,
+    ChunkerParams,
+    ScanPositions,
+    windowed_hashes,
+)
 
 #: Implicit window: how many trailing bytes influence a 32-bit gear hash.
 WINDOW = 32
 #: Hash width in bits.
 HASH_BITS = 32
-_HASH_MASK = np.uint64((1 << HASH_BITS) - 1)
 
 
 def _gear_table(seed: int = 0x5EED) -> np.ndarray:
     """The 256-entry random table shared by Gear and FastCDC."""
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << HASH_BITS, size=256, dtype=np.uint64)
+    return rng.integers(0, 1 << HASH_BITS, size=256, dtype=np.uint64).astype(np.uint32)
 
 
 GEAR_TABLE = _gear_table()
 
 
-def gear_hash_positions(data: bytes) -> np.ndarray:
-    """Gear hash of the window ending at each position (length-WINDOW+1 values).
+def _shift_add(left: np.ndarray, right: np.ndarray, span: int) -> np.ndarray:
+    return (left << np.uint32(span)) + right
 
-    Entry ``j`` is the hash for stream position ``p = j + WINDOW``, i.e.
-    the window ``data[p-WINDOW:p]``.
-    """
-    length = len(data)
-    if length < WINDOW:
-        return np.empty(0, dtype=np.uint64)
-    mapped = GEAR_TABLE[np.frombuffer(data, dtype=np.uint8)]
-    window_count = length - WINDOW + 1
+
+def gear_hashes(data: bytes | memoryview) -> np.ndarray:
+    """uint32 gear hash of every window: entry ``j`` covers
+    ``data[j : j + WINDOW]``, the window ending at stream position
+    ``j + WINDOW``.  uint32 wraparound is the hash's mod-2^32 ring."""
     with np.errstate(over="ignore"):
-        acc = np.zeros(window_count, dtype=np.uint64)
-        for t in range(WINDOW):
-            shift = np.uint64(WINDOW - 1 - t)
-            acc += mapped[t : t + window_count] << shift
-    return acc & _HASH_MASK
+        return windowed_hashes(
+            GEAR_TABLE[np.frombuffer(data, dtype=np.uint8)], WINDOW, _shift_add
+        )
 
 
-def top_bits_mask(bits: int) -> np.uint64:
+def top_bits_mask(bits: int) -> np.uint32:
     """A mask selecting the ``bits`` most significant hash bits."""
     if not 0 < bits < HASH_BITS:
         raise ValueError(f"mask bits must be in (0, {HASH_BITS}): {bits}")
-    return np.uint64(((1 << bits) - 1) << (HASH_BITS - bits))
+    return np.uint32(((1 << bits) - 1) << (HASH_BITS - bits))
 
 
 class GearChunker(Chunker):
     """Plain gear-hash CDC with a single cut condition."""
 
     name = "gear"
+    window = WINDOW
 
     def __init__(self, params: ChunkerParams | None = None) -> None:
         super().__init__(params)
@@ -70,13 +71,9 @@ class GearChunker(Chunker):
         avg_bits = self.params.avg_size.bit_length() - 1
         self._mask = top_bits_mask(min(avg_bits, HASH_BITS - 1))
 
-    @property
-    def cut_mask(self) -> np.uint64:
-        """The cut-condition mask (a hash is a cut when ``h & mask == 0``)."""
-        return self._mask
+    def scan(self, data: bytes | memoryview) -> ScanPositions:
+        hits = np.flatnonzero((gear_hashes(data) & self._mask) == 0)
+        return hits + WINDOW, None
 
     def boundaries(self, data: bytes) -> BoundarySet:
-        hashes = gear_hash_positions(data)
-        hits = np.nonzero((hashes & self._mask) == 0)[0]
-        positions = hits.astype(np.int64) + WINDOW
-        return BoundarySet(len(data), self.params, positions)
+        return BoundarySet(len(data), self.params, *self.scan(data))

@@ -150,19 +150,6 @@ class RestoreJobSpec:
         ) != len(self.demand_seconds):
             raise ValueError("per-record traces must align")
 
-    @classmethod
-    def from_restore_result(cls, result) -> "RestoreJobSpec":
-        """Build a spec from a measured :class:`RestoreResult`."""
-        return cls(
-            logical_bytes=result.logical_bytes,
-            read_seconds=tuple(result.read_seconds),
-            record_reads=tuple(result.record_reads),
-            record_cpu=tuple(result.record_cpu),
-            demand_seconds=tuple(result.demand_seconds),
-            setup_seconds=result.setup_seconds,
-            prefetch_threads=result.prefetch_threads,
-        )
-
     def serialised(self) -> "RestoreJobSpec":
         """The same trace with every read folded into demand time.
 
@@ -607,8 +594,3 @@ class ClusterSimulator:
         report.makespan_seconds = loop.run()
         report.node_channel_busy_seconds = [list(pool.busy_seconds) for pool in pools]
         return report
-
-    def restore_throughput(self, job: RestoreJobSpec, jobs: int) -> float:
-        """Aggregate restore MB/s for ``jobs`` identical concurrent jobs."""
-        report = self.run_restores([job] * jobs)
-        return report.aggregate_throughput_mb_s

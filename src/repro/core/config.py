@@ -163,9 +163,9 @@ class SlimStoreConfig:
     fault_domains: int = 3
 
     # --- wall-clock execution engine -------------------------------------------
-    #: Real worker count for the parallel execution engine (chunk +
-    #: fingerprint fan-out, vectorised CDC scan, threaded OSS IO).  0 keeps
-    #: today's serial path; any N >= 1 is byte-identical to serial.
+    #: Real worker count for the parallel execution engine (slab-parallel
+    #: CDC scan, pooled fingerprints, threaded OSS IO).  0 scans and
+    #: fingerprints in-process; any N >= 1 is byte-identical to 0.
     workers: int = 0
     #: Compute-pool flavour: "thread" (numpy/hashlib release the GIL) or
     #: "process" (fork workers for pure-python stages).

@@ -215,14 +215,6 @@ class BackupResult:
             return 0.0
         return self.logical_bytes / elapsed / (1 << 20)
 
-    @property
-    def average_chunk_bytes(self) -> float:
-        """Mean logical chunk size in this version's recipe."""
-        count = self.recipe.chunk_count()
-        if count == 0:
-            return 0.0
-        return self.logical_bytes / count
-
 
 class BackupEngine:
     """One L-node backup job: deduplicate a file stream and persist it."""
@@ -261,7 +253,7 @@ class BackupEngine:
         counters = Counters()
         fp_memo: dict[tuple[int, int], bytes] = {}
         if self._executor is not None and self._executor.active:
-            # Real workers: vectorised slab scan + pooled fingerprints of
+            # Real workers: slab-parallel scan + pooled fingerprints of
             # every plain-CDC chunk span.  Both are pure functions of the
             # payload, so the classification below is byte-identical;
             # spans it invents itself (skips, superchunks) hash inline.

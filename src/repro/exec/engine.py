@@ -3,7 +3,7 @@
 The executor owns two pools:
 
   - a *compute* pool (threads by default, fork processes on request) that
-    runs the vectorised boundary scan over buffer slabs and fingerprints
+    runs each chunker's boundary scan over buffer slabs and fingerprints
     chunk batches — numpy and hashlib both release the GIL, so threads
     already scale, and processes cover pure-python paths;
   - an *IO* pool (:class:`repro.exec.iopool.IOPool`) that the OSS layer
@@ -12,7 +12,7 @@ The executor owns two pools:
 
 Everything here is deterministic: slabs partition the window-index range,
 positions map back by adding the slab origin, and the concatenation of
-ascending slab outputs is exactly the serial scan's output.  Fingerprints
+ascending slab outputs is exactly the whole-buffer scan's output.  Fingerprints
 are pure functions of chunk payloads.  Parallel runs are therefore
 byte-identical to serial — the property the differential parity suite
 enforces.
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
-from repro.chunking.base import BoundarySet, Chunker, ChunkerParams, make_chunker
-from repro.exec import vectorscan
+from repro.chunking.base import BoundarySet, Chunker
 from repro.exec.iopool import IOPool
 from repro.fingerprint.hashing import make_fingerprinter
 
@@ -41,18 +39,6 @@ _FP_BATCH_CHUNKS = 256
 EXEC_MODES = ("thread", "process")
 
 
-@lru_cache(maxsize=8)
-def _cached_chunker(name: str, min_size: int, avg_size: int, max_size: int) -> Chunker:
-    """Rebuild a chunker in a worker process (or reuse one in-process)."""
-    return make_chunker(name, ChunkerParams(min_size, avg_size, max_size))
-
-
-def _scan_task(
-    name: str, params: tuple[int, int, int], buf: bytes | memoryview
-) -> tuple[np.ndarray, np.ndarray | None]:
-    return vectorscan.slab_scan(_cached_chunker(name, *params), buf)
-
-
 def _fp_task(
     algo: str, buf: bytes | memoryview, ranges: list[tuple[int, int]], base: int
 ) -> list[bytes]:
@@ -64,7 +50,7 @@ def _fp_task(
 class ParallelExecutor:
     """Fans CDC scanning and fingerprinting across a worker pool.
 
-    ``workers=0`` means inactive: callers must keep their serial path.
+    ``workers=0`` means inactive: callers scan and fingerprint in-process.
     ``mode`` picks the compute pool flavour — "thread" (default; numpy and
     hashlib release the GIL) or "process" (fork workers for pure-python
     stages).  The IO pool is always threads: it exists to overlap
@@ -121,42 +107,29 @@ class ParallelExecutor:
         """The chunker's BoundarySet for ``data``, scanned slab-parallel.
 
         Identical to ``chunker.boundaries(data)`` for every chunker and
-        buffer length, including the rabin short-buffer quirk.
+        buffer length: each slab runs ``chunker.scan`` over its windows.
         """
-        window = vectorscan.scan_window(chunker)
-        if not self.active or window is None:
+        window = chunker.window
+        if not self.active or not window:
             return chunker.boundaries(data)
         n = len(data)
-        if n < window or (chunker.name == "rabin" and n <= window):
-            return BoundarySet(n, chunker.params, np.empty(0, dtype=np.int64))
         window_count = n - window + 1
         slab = max(self.slab_bytes, -(-window_count // self.workers))
         if window_count <= slab:
-            permissive, strict = vectorscan.slab_scan(chunker, data)
-            return BoundarySet(n, chunker.params, permissive, strict)
-        params = (
-            chunker.params.min_size,
-            chunker.params.avg_size,
-            chunker.params.max_size,
-        )
-        futures = []
-        origins = []
-        for a in range(0, window_count, slab):
-            b = min(a + slab, window_count)
-            buf = self._ship(data, a, b + window - 1)
-            futures.append(self._pool().submit(_scan_task, chunker.name, params, buf))
-            origins.append(a)
-        permissive_parts = []
-        strict_parts = []
-        has_strict = False
-        for origin, future in zip(origins, futures):
-            permissive, strict = future.result()
-            permissive_parts.append(permissive + origin)
-            if strict is not None:
-                has_strict = True
-                strict_parts.append(strict + origin)
-        permissive = np.concatenate(permissive_parts)
-        strict = np.concatenate(strict_parts) if has_strict else None
+            return chunker.boundaries(data)
+        origins = range(0, window_count, slab)
+        futures = [
+            self._pool().submit(
+                chunker.scan,
+                self._ship(data, a, min(a + slab, window_count) + window - 1),
+            )
+            for a in origins
+        ]
+        parts = [future.result() for future in futures]
+        permissive = np.concatenate([p + a for (p, _), a in zip(parts, origins)])
+        strict = None
+        if parts[0][1] is not None:
+            strict = np.concatenate([s + a for (_, s), a in zip(parts, origins)])
         return BoundarySet(n, chunker.params, permissive, strict)
 
     # ------------------------------------------------------------------

@@ -102,16 +102,19 @@ class WriteAheadLog:
 
     def replay(self) -> Iterator[tuple[int, bytes, bytes]]:
         """Yield every durable record: rotated segments, then the active
-        mirror (or the in-memory segment for the live instance)."""
+        segment.  A fresh instance adopts the active mirror it replays as
+        its own segment, so its next append rewrites the mirror with those
+        records still in it."""
         active_key = self._prefix + self.ACTIVE_KEY
         for key in self._oss.list_objects(self._bucket, self._prefix):
             if key == active_key:
                 continue
             yield from decode_records(self._oss.get_object(self._bucket, key))
-        if self._segment:
-            yield from decode_records(bytes(self._segment))
-        elif self._oss.peek_size(self._bucket, active_key) is not None:
-            yield from decode_records(self._oss.get_object(self._bucket, active_key))
+        if not self._segment and (
+            self._oss.peek_size(self._bucket, active_key) is not None
+        ):
+            self._segment = bytearray(self._oss.get_object(self._bucket, active_key))
+        yield from decode_records(bytes(self._segment))
 
     @property
     def pending_bytes(self) -> int:

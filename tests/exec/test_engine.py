@@ -1,5 +1,6 @@
 """ParallelExecutor: slab-parallel scans and pooled fingerprints are
-indistinguishable from the serial path, in every mode, at every width."""
+indistinguishable from the per-byte reference scan, in every mode, at every
+width."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import pytest
 
 from repro.chunking.base import ChunkerParams, make_chunker
 from repro.exec import IOPool, ParallelExecutor
+from repro.exec.engine import EXEC_MODES
 from repro.fingerprint.hashing import fingerprint
+from tests.chunking.reference_scan import reference_positions, reference_spans
 
 PARAMS = ChunkerParams(min_size=128, avg_size=2048, max_size=16384)
 
@@ -20,10 +23,13 @@ def _payload(seed: int, size: int) -> bytes:
     return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
 
 
-def _assert_equal_sets(serial, parallel) -> None:
-    assert serial.length == parallel.length
-    assert np.array_equal(serial._positions, parallel._positions)
-    assert np.array_equal(serial._strict, parallel._strict)
+def _assert_matches_reference(chunker, data: bytes, boundary_set) -> None:
+    permissive, strict = reference_positions(chunker, data)
+    assert boundary_set.length == len(data)
+    assert np.array_equal(boundary_set._positions, permissive)
+    assert np.array_equal(
+        boundary_set._strict, permissive if strict is None else strict
+    )
 
 
 class TestScanBoundaries:
@@ -32,8 +38,13 @@ class TestScanBoundaries:
     def test_matches_serial(self, name, workers):
         chunker = make_chunker(name, PARAMS)
         data = _payload(13, 1 << 18)
-        with ParallelExecutor(workers, slab_bytes=1 << 15) as executor:
-            _assert_equal_sets(chunker.boundaries(data), executor.scan_boundaries(chunker, data))
+        _assert_matches_reference(chunker, data, chunker.boundaries(data))
+        for mode in EXEC_MODES:
+            with ParallelExecutor(workers, mode=mode) as executor:
+                executor.slab_bytes = 1 << 15  # one slab per worker
+                _assert_matches_reference(
+                    chunker, data, executor.scan_boundaries(chunker, data)
+                )
 
     @pytest.mark.parametrize("size", [0, 31, 32, 47, 48, 49, 1 << 15])
     def test_edge_lengths(self, size):
@@ -41,8 +52,8 @@ class TestScanBoundaries:
         with ParallelExecutor(2, slab_bytes=1 << 15) as executor:
             for name in ("gear", "fastcdc", "rabin"):
                 chunker = make_chunker(name, PARAMS)
-                _assert_equal_sets(
-                    chunker.boundaries(data), executor.scan_boundaries(chunker, data)
+                _assert_matches_reference(
+                    chunker, data, executor.scan_boundaries(chunker, data)
                 )
 
     def test_tiny_slabs_force_many_tasks(self):
@@ -52,18 +63,32 @@ class TestScanBoundaries:
         executor = ParallelExecutor(4)
         executor.slab_bytes = 1 << 20  # two slabs, 7-window tail merged math
         try:
-            _assert_equal_sets(
-                chunker.boundaries(data), executor.scan_boundaries(chunker, data)
+            _assert_matches_reference(
+                chunker, data, executor.scan_boundaries(chunker, data)
             )
         finally:
             executor.close()
+
+    @pytest.mark.parametrize("name", ["gear", "fastcdc", "rabin"])
+    def test_slab_edges_keep_every_position(self, name):
+        """Hundreds of slab layouts at a dense cut condition: a position in
+        the last window of any slab would be lost without the overlap."""
+        chunker = make_chunker(name, ChunkerParams(64, 64, 512))
+        data = _payload(47, 4096)
+        with ParallelExecutor(8) as executor:
+            executor.slab_bytes = 1  # slabs of window_count / workers
+            for length in range(2048, 4096, 7):
+                prefix = data[:length]
+                _assert_matches_reference(
+                    chunker, prefix, executor.scan_boundaries(chunker, prefix)
+                )
 
     def test_process_mode(self):
         chunker = make_chunker("gear", PARAMS)
         data = _payload(23, 1 << 17)
         with ParallelExecutor(2, mode="process", slab_bytes=1 << 15) as executor:
-            _assert_equal_sets(
-                chunker.boundaries(data), executor.scan_boundaries(chunker, data)
+            _assert_matches_reference(
+                chunker, data, executor.scan_boundaries(chunker, data)
             )
 
     def test_inactive_falls_back(self):
@@ -72,7 +97,7 @@ class TestScanBoundaries:
         executor = ParallelExecutor(0)
         assert not executor.active
         assert executor.io_pool is None
-        _assert_equal_sets(chunker.boundaries(data), executor.scan_boundaries(chunker, data))
+        _assert_matches_reference(chunker, data, executor.scan_boundaries(chunker, data))
 
 
 class TestChunkAndFingerprint:
@@ -83,12 +108,8 @@ class TestChunkAndFingerprint:
         with ParallelExecutor(2, slab_bytes=1 << 15) as executor:
             boundary_set, memo = executor.chunk_and_fingerprint(chunker, data)
         # The memo spans tile the buffer exactly along the next_cut walk...
-        serial = chunker.boundaries(data)
-        position = 0
-        while position < len(data):
-            end = serial.next_cut(position)
-            assert (position, end) in memo
-            position = end
+        for span in reference_spans(chunker, data):
+            assert span in memo
         # ...and every digest is the chunk's true fingerprint.
         for (start, end), digest in memo.items():
             assert digest == fingerprint(data[start:end])

@@ -1,10 +1,12 @@
-"""The vectorised CDC kernels are bit-exact replicas of the serial scans.
+"""The chunkers' log-doubling scan kernel equals the per-byte reference scans.
 
-Every claim the parallel engine makes rests on these equalities: the
-log-doubling gear hash equals the serial shift-add loop mod 2^32, the
-log-doubling rabin polynomial equals the serial multiply-accumulate in the
-mod-2^64 ring, and ``scan_positions`` therefore reproduces every chunker's
-``boundaries`` — including the rabin short-buffer quirk.
+Every chunker computes its cut positions with one kernel,
+:func:`repro.chunking.base.windowed_hashes`, in-process and in every slab of
+the parallel engine.  These tests pin it against the serial loops kept in
+``tests/chunking/reference_scan.py``: the gear hash equals the shift-add
+loop mod 2^32, the rabin polynomial equals the multiply-accumulate loop in
+the mod-2^64 ring, and every chunker's ``scan``/``boundaries`` therefore
+reproduces the reference positions — and the reference cuts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.chunking import gear, rabin
 from repro.chunking.base import ChunkerParams, make_chunker
-from repro.exec.vectorscan import gear_hashes, rabin_hashes, scan_positions
+from tests.chunking.reference_scan import (
+    gear_hash_positions,
+    rabin_hash_positions,
+    reference_positions,
+    reference_spans,
+)
 
 PARAMS = ChunkerParams(min_size=128, avg_size=2048, max_size=16384)
 
@@ -26,48 +33,38 @@ def _payload(seed: int, size: int) -> bytes:
     return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
 
 
-def _serial_rabin(data: bytes) -> np.ndarray:
-    """The serial multiply-accumulate loop from RabinChunker.boundaries."""
-    stream = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-    window_count = len(data) - rabin.WINDOW + 1
-    with np.errstate(over="ignore"):
-        acc = np.zeros(window_count, dtype=np.uint64)
-        for t in range(rabin.WINDOW):
-            acc += stream[t : t + window_count] * rabin._COEFFICIENTS[t]
-    return acc
-
-
 @pytest.mark.parametrize("size", [32, 33, 100, 4096, 1 << 17])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_gear_hashes_match_serial(seed, size):
     data = _payload(seed, size)
-    serial = gear.gear_hash_positions(data)
-    vectorised = gear_hashes(data)
+    vectorised = gear.gear_hashes(data)
     assert vectorised.dtype == np.uint32
-    assert np.array_equal(serial.astype(np.uint32), vectorised)
+    assert np.array_equal(gear_hash_positions(data).astype(np.uint32), vectorised)
 
 
 def test_gear_hashes_short_buffer_is_empty():
-    assert gear_hashes(b"x" * (gear.WINDOW - 1)).size == 0
+    assert gear.gear_hashes(b"x" * (gear.WINDOW - 1)).size == 0
 
 
 @pytest.mark.parametrize("size", [48, 49, 100, 4096, 1 << 16])
 @pytest.mark.parametrize("seed", [1, 11])
 def test_rabin_hashes_match_serial(seed, size):
     data = _payload(seed, size)
-    assert np.array_equal(_serial_rabin(data), rabin_hashes(data))
+    assert np.array_equal(rabin_hash_positions(data), rabin.rabin_hashes(data))
 
 
 def _assert_same_boundaries(chunker, data: bytes) -> None:
-    serial = chunker.boundaries(data)
-    scanned = scan_positions(chunker, data)
-    assert scanned is not None
-    permissive, strict = scanned
-    assert np.array_equal(serial._positions, permissive)
+    permissive, strict = reference_positions(chunker, data)
+    scanned, scanned_strict = chunker.scan(data)
+    assert np.array_equal(scanned, permissive)
+    assert (scanned_strict is None) == (strict is None)
+    boundary_set = chunker.boundaries(data)
+    assert np.array_equal(boundary_set._positions, permissive)
     if strict is None:
-        assert np.array_equal(serial._strict, serial._positions)
+        assert np.array_equal(boundary_set._strict, permissive)
     else:
-        assert np.array_equal(serial._strict, strict)
+        assert np.array_equal(scanned_strict, strict)
+        assert np.array_equal(boundary_set._strict, strict)
 
 
 @pytest.mark.parametrize("name", ["gear", "fastcdc", "rabin"])
@@ -79,18 +76,24 @@ def test_scan_positions_match_boundaries(name, size):
 
 def test_scan_positions_none_for_fixed():
     chunker = make_chunker("fixed", PARAMS)
-    assert scan_positions(chunker, b"x" * 1000) is None
+    assert chunker.window == 0
+    permissive, strict = chunker.scan(b"x" * 1000)
+    assert permissive.size == 0 and strict is None
+    assert chunker.boundaries(b"x" * 1000)._positions.size == 0
 
 
-def test_rabin_quirk_exact_window_yields_no_positions():
-    """The serial rabin scan returns nothing for length <= WINDOW even
-    though a 48-byte buffer holds exactly one window; the vectorised scan
-    must reproduce that, not 'fix' it."""
-    chunker = make_chunker("rabin", PARAMS)
-    data = _payload(5, rabin.WINDOW)
-    assert len(chunker.boundaries(data)._positions) == 0
-    permissive, _ = scan_positions(chunker, data)
-    assert permissive.size == 0
+@pytest.mark.parametrize("name", ["gear", "fastcdc", "rabin"])
+def test_short_buffers_cut_like_the_oracle(name):
+    """Every buffer up to ``min_size + WINDOW`` bytes cuts exactly as the
+    reference walk does.  The serial rabin scan found no position in a
+    buffer of at most WINDOW bytes; the kernel evaluates that one window,
+    but ``min_size > WINDOW`` means no cut ever consults it."""
+    chunker = make_chunker(name, PARAMS)
+    data = _payload(5, PARAMS.min_size + chunker.window)
+    for length in range(len(data) + 1):
+        prefix = data[:length]
+        spans = [(c.start, c.end) for c in chunker.chunk(prefix)]
+        assert spans == reference_spans(chunker, prefix)
 
 
 @settings(max_examples=30, deadline=None)

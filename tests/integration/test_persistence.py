@@ -75,6 +75,23 @@ class TestDurableRepository:
         assert second.storage.global_index.lookup(probe) is not None
         assert second.storage.global_index.maybe_contains(probe)
 
+    def test_moved_chunks_restore_after_write_between_reattaches(self, tmp_path, rng):
+        """Backup, re-attach, backup, re-attach, restore.  Reverse dedup in
+        the first session moves ``f``'s chunks into ``g``'s containers; the
+        index entries locating them are replayed at the first attach and
+        must still be there after the second."""
+        data = random_bytes(rng, 256 * 1024)
+        first = durable_store(tmp_path)
+        first.backup("f", data)
+        # A reversed prefix hides the similarity, so g stores duplicates.
+        report = first.backup("g", data[::-1] + data)
+        assert report.reverse_dedup.duplicates_removed > 0
+        durable_store(tmp_path).backup("h", random_bytes(rng, 64 * 1024))
+        third = durable_store(tmp_path)
+        restored = third.restore("f", 0)
+        assert restored.counters.get("global_index_redirects") > 0
+        assert restored.data == data
+
     def test_recover_on_empty_repo(self, tmp_path):
         store = durable_store(tmp_path)
         assert store.versions("anything") == []

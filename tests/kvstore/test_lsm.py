@@ -128,6 +128,19 @@ class TestRecovery:
         assert recovered.get(b"new") == b"value"
         assert recovered.get(b"key049") == b"x" * 16
 
+    def test_replayed_entries_survive_a_second_recovery(self, oss):
+        """Records replayed from the active WAL stay durable after the
+        recovered store logs more: a second recovery still finds them."""
+        store = LSMStore(oss, "kv")
+        store.put(b"k1", b"v1")
+        first = LSMStore(oss, "kv")
+        first.recover()
+        first.put(b"k2", b"v2")
+        second = LSMStore(oss, "kv")
+        second.recover()
+        assert second.get(b"k1") == b"v1"
+        assert second.get(b"k2") == b"v2"
+
     def test_rejects_tiny_compaction_threshold(self, oss):
         with pytest.raises(ValueError):
             LSMStore(oss, "kv", compaction_threshold=1)
