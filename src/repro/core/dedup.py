@@ -20,23 +20,13 @@ The three-step workflow:
 
 All CPU and network work is charged to a :class:`TimeBreakdown` in the
 paper's categories, which is where the Fig 2 / Fig 5(d) breakdowns and all
-dedup throughput figures come from.
+dedup throughput figures come from.  A job's virtual duration is the
+breakdown's max rule (:meth:`TimeBreakdown.elapsed_pipelined`): CPU,
+upload and download overlap.
 
-Since the ingest-pipeline PR every charge is *also* attributed to a
-per-segment stage trace (:class:`IngestTrace`): chunking + fingerprinting
-to the chunk stage, classification/cache/prefetch work to the lookup
-stage, container uploads to discrete flush events.  With
-``config.ingest_pipeline`` the engine additionally Bloom-prefilters each
-segment's candidate fingerprints in one batched pass and models their
-batched ``get_many`` round trips, then replays the trace through
-:func:`repro.sim.events.simulate_backup_pipeline` — an event-driven
-schedule where chunking runs ahead of the lookup spine and container
-flushes double-buffer against it.  The pipelined engine executes the
-*identical* classification sequence and OSS request stream as the serial
-path (the modelled round trips never touch the store), so recipes,
-containers and restores are byte-identical — including under fault
-injection, whose seeded RNG consumes one draw per real request.  See
-``docs/INGEST.md``.
+Online dedup here uses only similarity and logical locality; no
+global-index probe is sent.  Exact dedup against the global fingerprint
+index runs out of line on the G-node (reverse deduplication, Section VI).
 """
 
 from __future__ import annotations
@@ -53,7 +43,6 @@ from repro.errors import RetryExhaustedError, TransientOSSError
 from repro.fingerprint.hashing import make_fingerprinter
 from repro.fingerprint.sampling import is_sampled
 from repro.sim.cost_model import CostModel
-from repro.sim.events import IngestPipelineStats, simulate_backup_pipeline
 from repro.sim.metrics import Counters, TimeBreakdown
 
 #: Exceptions that flip a backup job into degraded mode instead of
@@ -125,31 +114,6 @@ class DedupCache:
 
 
 @dataclass
-class IngestTrace:
-    """Per-segment stage durations of one backup job, replayable later.
-
-    The same :class:`TimeBreakdown` charges, re-attributed to the ingest
-    pipeline's stages per recipe-aligned segment: ``chunk_seconds`` (CDC
-    scan + fingerprinting — content-only work that may run ahead),
-    ``lookup_seconds`` (classification CPU, cache probes and blocking
-    recipe prefetch downloads — the sequential spine), ``lookup_rpcs``
-    (the segment's modelled batched ``get_many`` round trips, empty in
-    serial mode) and discrete container-flush events
-    (``flush_after[j]`` = ordinal of the segment being built when flush
-    ``j`` fired).  ``setup_seconds``/``finish_seconds`` are the serial
-    prefix (base detection) and tail (recipe persistence).
-    """
-
-    setup_seconds: float = 0.0
-    chunk_seconds: list[float] = field(default_factory=list)
-    lookup_seconds: list[float] = field(default_factory=list)
-    lookup_rpcs: list[list[float]] = field(default_factory=list)
-    flush_after: list[int] = field(default_factory=list)
-    flush_seconds: list[float] = field(default_factory=list)
-    finish_seconds: float = 0.0
-
-
-@dataclass
 class BackupResult:
     """Everything one backup job produced and observed."""
 
@@ -173,15 +137,9 @@ class BackupResult:
     degraded_fps: list[bytes] = field(default_factory=list)
     #: Distinct fingerprints this job stored as unique — the population
     #: the G-node pushes through the sharded global index afterwards,
-    #: which is what the cluster ingest model's per-shard contention and
-    #: the post-maintenance index invariants are computed from.
+    #: which is what the cluster model's per-shard contention and the
+    #: post-maintenance index invariants are computed from.
     unique_fps: list[bytes] = field(default_factory=list)
-    #: Per-segment stage trace (always recorded; the cluster simulator
-    #: replays it with contention via ``BackupJobSpec``).
-    ingest: IngestTrace | None = None
-    #: Event-simulated ingest schedule (set when ``config.ingest_pipeline``
-    #: is enabled; ``elapsed_seconds`` then reports the pipeline's time).
-    pipeline: IngestPipelineStats | None = None
 
     @property
     def dedup_ratio(self) -> float:
@@ -192,24 +150,12 @@ class BackupResult:
 
     @property
     def elapsed_seconds(self) -> float:
-        """Virtual job duration with CPU/network pipelining."""
-        if self.pipeline is not None:
-            return self.pipeline.elapsed_seconds
+        """Virtual-clock job duration with CPU/network pipelining."""
         return self.breakdown.elapsed_pipelined()
-
-    @property
-    def closed_form_elapsed_seconds(self) -> float:
-        """The max-rule closed form, kept as the event model's cross-check."""
-        return self.breakdown.elapsed_pipelined()
-
-    @property
-    def intra_file_dup_hits(self) -> int:
-        """Global-index probes the per-job fingerprint memo absorbed."""
-        return self.counters.get("intra_file_dup_hits")
 
     @property
     def throughput_mb_s(self) -> float:
-        """Deduplication throughput in MB/s of logical data."""
+        """Deduplication throughput in MB/s of logical data, virtual clock."""
         elapsed = self.elapsed_seconds
         if elapsed == 0:
             return 0.0
@@ -266,9 +212,6 @@ class BackupEngine:
         handle, recipe_index = self._detect_base(
             path, data, boundary_set, breakdown, counters, fp_memo
         )
-        # Everything charged so far (name lookup, header probe, recipe
-        # index fetch) is the pipeline's serial setup prefix.
-        setup_seconds = breakdown.cpu_seconds() + breakdown.network_seconds()
         latest = self.storage.similar_index.latest_version(path)
         version = 0 if latest is None else latest + 1
 
@@ -285,27 +228,12 @@ class BackupEngine:
             rewrite_containers=rewrite_containers or set(),
             fp_memo=fp_memo,
         )
-        job.trace.setup_seconds = setup_seconds
         if counters.get("degraded_events"):
             # The detected base's recipe could not be fetched: the whole
             # job runs without duplicate verification.
             job.degraded = True
         job.run()
-        result = job.finish()
-        if self.config.ingest_pipeline:
-            trace = result.ingest
-            result.pipeline = simulate_backup_pipeline(
-                trace.chunk_seconds,
-                trace.lookup_seconds,
-                lookup_rpcs=trace.lookup_rpcs,
-                flush_after=trace.flush_after,
-                flush_seconds=trace.flush_seconds,
-                setup_seconds=trace.setup_seconds,
-                finish_seconds=trace.finish_seconds,
-                ingest_segments=self.config.ingest_segments,
-                flush_buffers=self.config.flush_buffers,
-            )
-        return result
+        return job.finish()
 
     # ------------------------------------------------------------------
     def _detect_base(
@@ -442,20 +370,6 @@ class _JobState:
         #: stored as unique and flagged for out-of-line reclamation.
         self.degraded = False
         self.degraded_fps: list[bytes] = []
-        #: Per-segment stage trace, fed by the charge helpers below.
-        self.trace = IngestTrace()
-        self._cur_chunk = 0.0
-        self._cur_lookup = 0.0
-        #: Superchunk merging runs at segment close and depends on the
-        #: segment's classification, so its hashing counts as lookup-stage
-        #: (spine) work rather than parallelizable chunk-stage work.
-        self._in_finalize = False
-        self._pipelined = self.config.ingest_pipeline
-        #: Per-job fingerprint memo: fingerprints already queued for a
-        #: global-index probe this job.  Intra-file duplicates hit the
-        #: memo instead of re-probing the index once per occurrence.
-        self._probe_memo: set[bytes] = set()
-        self._pending_probes: list[bytes] = []
         #: (start, end) → digest precomputed by the parallel executor for
         #: the plain-CDC chunk walk; spans cut by skip-chunking or
         #: superchunk merging miss it and hash inline via :meth:`_fp`.
@@ -465,7 +379,7 @@ class _JobState:
         #: fault policy or durability tier (whose seeded RNG draws and
         #: journaled tier changes must stay in serial order), container
         #: uploads run on the IO pool, double-buffered against the next
-        #: segment's CPU — for real this time, not just in the event model.
+        #: segment's CPU.  The virtual charges are identical either way.
         io_pool = (
             engine._executor.io_pool
             if engine._executor is not None and engine._executor.active
@@ -486,46 +400,6 @@ class _JobState:
         if digest is None:
             digest = self._fingerprint(self.view[start:end])
         return digest
-
-    # --- cost helpers ----------------------------------------------------
-    # Each helper charges the job breakdown (the paper's categories) and
-    # attributes the same seconds to the current segment's pipeline stage.
-    def _trace_chunk(self, seconds: float) -> None:
-        if self._in_finalize:
-            self._cur_lookup += seconds
-        else:
-            self._cur_chunk += seconds
-
-    def _trace_lookup(self, seconds: float) -> None:
-        self._cur_lookup += seconds
-
-    def _charge_scan(self, nbytes: int) -> None:
-        seconds = self.cost.chunking_cost(self.engine._chunker.name, nbytes)
-        self.breakdown.charge("chunking", seconds)
-        self._trace_chunk(seconds)
-
-    def _charge_skip(self, nbytes: int) -> None:
-        seconds = self.cost.chunking_cost("skip", nbytes)
-        self.breakdown.charge("chunking", seconds)
-        self._trace_chunk(seconds)
-
-    def _charge_fingerprint(self, nbytes: int) -> None:
-        seconds = self.cost.fingerprint_cost(nbytes)
-        self.breakdown.charge("fingerprinting", seconds)
-        self._trace_chunk(seconds)
-
-    def _charge_lookup(self) -> None:
-        self.breakdown.charge("index_query", self.cost.cpu_index_query)
-        self._trace_lookup(self.cost.cpu_index_query)
-
-    def _charge_compare(self) -> None:
-        self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
-        self._trace_lookup(self.cost.cpu_fp_compare)
-
-    def _charge_other(self, nbytes: int) -> None:
-        seconds = self.cost.cpu_other_per_byte * nbytes
-        self.breakdown.charge("other", seconds)
-        self._trace_lookup(seconds)
 
     # --- main loop ---------------------------------------------------------
     def run(self) -> None:
@@ -566,10 +440,10 @@ class _JobState:
             self.skip_from = None
             return False
         chunk = self.view[position:end]
-        self._charge_skip(len(chunk))
-        self._charge_fingerprint(len(chunk))
+        self.breakdown.charge("chunking", self.cost.chunking_cost("skip", len(chunk)))
+        self.breakdown.charge("fingerprinting", self.cost.fingerprint_cost(len(chunk)))
         fp = self._fp(position, end)
-        self._charge_compare()
+        self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
         if fp != predicted.fp:
             # Boundary matched but content changed: fall back to the dedup
             # cache for this chunk, then resume CDC.
@@ -590,9 +464,11 @@ class _JobState:
     def _cdc_step(self, position: int) -> int:
         """Cut one chunk with CDC and classify it; returns the new position."""
         end = self.boundaries.next_cut(position)
-        self._charge_scan(end - position)
+        self.breakdown.charge(
+            "chunking", self.cost.chunking_cost(self.engine._chunker.name, end - position)
+        )
         fp = self._fp(position, end)
-        self._charge_fingerprint(end - position)
+        self.breakdown.charge("fingerprinting", self.cost.fingerprint_cost(end - position))
 
         # SuperChunking (Algorithm 1): the cut chunk may be the firstChunk
         # of a known superchunk.
@@ -615,9 +491,11 @@ class _JobState:
         sc_end = position + record.size
         if sc_end > len(self.data):
             return None
-        self._charge_fingerprint(record.size - (end - position))
+        self.breakdown.charge(
+            "fingerprinting", self.cost.fingerprint_cost(record.size - (end - position))
+        )
         sc_fp = self._fp(position, sc_end)
-        self._charge_compare()
+        self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
         if sc_fp != record.fp:
             # Failed: c^n is a plain duplicate of the firstChunk; CDC
             # resumes from the current cut point p1 (= end).
@@ -640,14 +518,10 @@ class _JobState:
     # --- classification ------------------------------------------------------
     def _classify_chunk(self, position: int, end: int, fp: bytes) -> None:
         """Duplicate via caches/recipe index, otherwise store as unique."""
-        self._charge_lookup()
+        self.breakdown.charge("index_query", self.cost.cpu_index_query)
         local = self.local_records.get(fp)
         if local is not None:
             self.counters.add("local_duplicates")
-            if self._pipelined and fp in self._probe_memo:
-                # The memo already queued this fingerprint's index probe:
-                # the repeat occurrence costs no further round trip.
-                self.counters.add("intra_file_dup_hits")
             duplicate = ChunkRecord(
                 fp=fp,
                 container_id=local.container_id,
@@ -696,7 +570,7 @@ class _JobState:
         """
         if self.recipe_index is None or self.handle is None:
             return False
-        self._charge_compare()
+        self.breakdown.charge("index_query", self.cost.cpu_fp_compare)
         ordinals = self.recipe_index.lookup(fp)
         fetched = False
         for ordinal in ordinals:
@@ -720,15 +594,11 @@ class _JobState:
         try:
             segments = self.handle.get_segment_range(ordinal, span)
         except DEDUP_LOOKUP_FAILURES:
-            read_seconds = self.storage.oss.stats.diff(before).read_seconds
-            self.breakdown.charge("download", read_seconds)
-            self._trace_lookup(read_seconds)
+            self.breakdown.charge("download", self.storage.oss.stats.diff(before).read_seconds)
             self._enter_degraded_mode()
             return
         downloaded = self.storage.oss.stats.diff(before)
-        # Recipe prefetches block classification, so they ride the spine.
         self.breakdown.charge("download", downloaded.read_seconds)
-        self._trace_lookup(downloaded.read_seconds)
         for offset, records in enumerate(segments):
             self.counters.add("segments_prefetched")
             self.cache.insert_segment(ordinal + offset, records)
@@ -770,16 +640,10 @@ class _JobState:
 
     def _emit_unique(self, position: int, end: int, fp: bytes) -> None:
         chunk = self.view[position:end]
-        self._charge_other(len(chunk))
+        self.breakdown.charge("other", self.cost.cpu_other_per_byte * len(chunk))
         if self.builder.is_full():
             self._flush_container()
         self.builder.add_chunk(fp, chunk)
-        if self._pipelined:
-            if fp in self._probe_memo:
-                self.counters.add("intra_file_dup_hits")
-            else:
-                self._probe_memo.add(fp)
-                self._pending_probes.append(fp)
         record = ChunkRecord(
             fp=fp,
             container_id=self.builder.container_id,
@@ -799,7 +663,6 @@ class _JobState:
 
     def _append_record(self, record: ChunkRecord, start: int) -> None:
         self.breakdown.charge("other", self.cost.cpu_record_handling)
-        self._trace_lookup(self.cost.cpu_record_handling)
         self.current_records.append(record)
         self.current_starts.append(start)
         self.current_bytes += record.size
@@ -814,63 +677,11 @@ class _JobState:
         records = self.current_records
         starts = self.current_starts
         if self.config.chunk_merging:
-            self._in_finalize = True
-            try:
-                records, starts = self._merge_superchunks(records, starts)
-            finally:
-                self._in_finalize = False
+            records, starts = self._merge_superchunks(records, starts)
         self.segments.append(records)
         self.current_records = []
         self.current_starts = []
         self.current_bytes = 0
-        # Close the pipeline trace for this segment: batch its pending
-        # index probes (pipelined mode), then snapshot the stage clocks.
-        rpcs = self._drain_probe_batch() if self._pipelined else []
-        self.trace.chunk_seconds.append(self._cur_chunk)
-        self.trace.lookup_seconds.append(self._cur_lookup)
-        self.trace.lookup_rpcs.append(rpcs)
-        self._cur_chunk = 0.0
-        self._cur_lookup = 0.0
-
-    def _drain_probe_batch(self) -> list[float]:
-        """Coalesce the segment's fingerprint probes against the index.
-
-        The Bloom prefilter runs for real — one in-memory batched pass
-        over the segment's candidates ("a bloom filter is used to quickly
-        filter out unique chunks").  The survivors' exact probes are
-        grouped per shard and batched into ``get_many``-shaped round
-        trips whose durations feed the event schedule, but the requests
-        themselves are *modelled*, never issued: the authoritative exact
-        dedup stays the G-node's out-of-line pass, which keeps the
-        pipelined engine's OSS request stream — and therefore its fault
-        and crash behaviour — identical to the serial path's.
-        """
-        pending, self._pending_probes = self._pending_probes, []
-        if not pending:
-            return []
-        index = self.storage.global_index
-        self.counters.add("ingest_bloom_probes", len(pending))
-        probe_seconds = self.cost.cpu_fp_compare * len(pending)
-        self.breakdown.charge("index_query", probe_seconds)
-        self._trace_lookup(probe_seconds)
-        verdicts = index.maybe_contains_many(pending)
-        survivors = [fp for fp, hit in zip(pending, verdicts) if hit]
-        if not survivors:
-            return []
-        per_shard: Counter[int] = Counter(index.shard_of(fp) for fp in survivors)
-        batch = max(1, self.config.index_batch_size)
-        rpcs: list[float] = []
-        for shard in sorted(per_shard):
-            keys = per_shard[shard]
-            while keys > 0:
-                take = min(batch, keys)
-                keys -= take
-                rpcs.append(
-                    self.cost.oss_request_latency + take * self.cost.cpu_index_query
-                )
-        self.counters.add("ingest_index_batches", len(rpcs))
-        self.counters.add("ingest_index_keys", len(survivors))
-        return rpcs
 
     def _merge_superchunks(
         self, records: list[ChunkRecord], starts: list[int]
@@ -903,8 +714,8 @@ class _JobState:
         data_start = starts[begin]
         data_end = starts[end - 1] + records[end - 1].size
         payload = self.view[data_start:data_end]
-        self._charge_fingerprint(len(payload))
-        self._charge_other(len(payload))
+        self.breakdown.charge("fingerprinting", self.cost.fingerprint_cost(len(payload)))
+        self.breakdown.charge("other", self.cost.cpu_other_per_byte * len(payload))
         sc_fp = self._fp(data_start, data_end)
         if self.builder.payload_bytes + len(payload) > self.config.container_bytes:
             self._flush_container()
@@ -940,10 +751,6 @@ class _JobState:
             self.builder = self.storage.containers.new_builder(self.config.container_bytes)
             return
         builder = self.builder
-        # A discrete flush event, handed off after the segment being
-        # built when the container filled (the event schedule clamps the
-        # end-of-stream flush to the last segment).
-        self.trace.flush_after.append(len(self.segments))
         self.counters.add("containers_written")
         self.new_container_ids.append(builder.container_id)
         self.builder = self.storage.containers.new_builder(self.config.container_bytes)
@@ -952,7 +759,6 @@ class _JobState:
             self.storage.containers.write(builder)
             written = self.storage.oss.stats.diff(before)
             self.breakdown.charge("upload", written.write_seconds)
-            self.trace.flush_seconds.append(written.write_seconds)
             self.uploaded_bytes += written.bytes_written
             return
         # Double buffering: at most one upload in flight, joined (and its
@@ -979,7 +785,6 @@ class _JobState:
         write_seconds, bytes_written = self._pending_flush.result()
         self._pending_flush = None
         self.breakdown.charge("upload", write_seconds)
-        self.trace.flush_seconds.append(write_seconds)
         self.uploaded_bytes += bytes_written
 
     def finish(self) -> BackupResult:
@@ -1028,7 +833,6 @@ class _JobState:
         self.storage.similar_index.register(self.path, self.version, representatives)
         written = self.storage.oss.stats.diff(before)
         self.breakdown.charge("upload", written.write_seconds)
-        self.trace.finish_seconds += written.write_seconds
         self.uploaded_bytes += written.bytes_written
 
         # Container references are computed from the *final* recipe so
@@ -1057,5 +861,4 @@ class _JobState:
             degraded=self.degraded,
             degraded_fps=self.degraded_fps,
             unique_fps=list(self.local_records),
-            ingest=self.trace,
         )

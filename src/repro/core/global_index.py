@@ -136,11 +136,10 @@ class GlobalIndex:
     def maybe_contains_many(self, fps: Iterable[bytes]) -> list[bool]:
         """Batched Bloom prefilter: one verdict per fingerprint, in order.
 
-        The ingest pipeline's lookup stage probes a whole segment's
-        candidate fingerprints in one pass (purely in-memory — no OSS
-        round trips), so only the survivors are worth batching into
-        ``get_many`` round trips.  Rejections are counted exactly as the
-        single-key :meth:`maybe_contains` would count them.
+        Purely in-memory (no OSS round trips): only the survivors are
+        worth batching into :meth:`get_many` round trips.  Rejections are
+        counted exactly as the single-key :meth:`maybe_contains` would
+        count them.
         """
         verdicts: list[bool] = []
         rejections = 0

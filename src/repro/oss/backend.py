@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import threading
+import uuid
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -102,13 +103,20 @@ class FilesystemBackend(StorageBackend):
     threads can read the same container concurrently with no seek state to
     race on.  ``put``/``delete`` swap the inode (atomic ``os.replace``),
     so both invalidate the cached descriptor under the lock.
+
+    ``put`` stages each write under a unique name in :attr:`STAGING_DIR`,
+    a directory no key may map into, so concurrent puts of one key never
+    share a temp file and no key is shadowed by or hidden as a temp file.
     """
 
     _FD_CACHE_SIZE = 128
+    #: Reserved top-level directory for in-flight writes; not a key space.
+    STAGING_DIR = ".staging"
 
     def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
+        self._staging = self._root / self.STAGING_DIR
         self._fds: OrderedDict[str, int] = OrderedDict()
         self._fd_lock = threading.Lock()
 
@@ -155,12 +163,15 @@ class FilesystemBackend(StorageBackend):
         if path == self._root:
             # Keys like "." normalise to the root directory itself.
             raise ValueError(f"unsafe object key: {key!r}")
+        if path.relative_to(self._root).parts[0] == self.STAGING_DIR:
+            raise ValueError(f"reserved object key: {key!r}")
         return path
 
     def put(self, key: str, data: bytes) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
+        self._staging.mkdir(exist_ok=True)
+        tmp = self._staging / f"{uuid.uuid4().hex}.tmp"
         tmp.write_bytes(data)
         try:
             os.replace(tmp, path)
@@ -200,8 +211,9 @@ class FilesystemBackend(StorageBackend):
     def keys(self) -> Iterator[str]:
         found = []
         for path in self._root.rglob("*"):
-            if path.is_file() and not path.name.endswith(".tmp"):
-                found.append(path.relative_to(self._root).as_posix())
+            relative = path.relative_to(self._root)
+            if path.is_file() and relative.parts[0] != self.STAGING_DIR:
+                found.append(relative.as_posix())
         return iter(sorted(found))
 
     def size(self, key: str) -> int | None:

@@ -1,50 +1,12 @@
 """Closed-form parallelism arithmetic.
 
-The scalability experiments (Table II, Fig 10) hinge on three facts the
-paper states explicitly: pipeline stages overlap, OSS read channels scale
-linearly until another resource saturates, and jobs on one node share its
-cores and NIC.  These helpers express exactly that arithmetic so the bench
-code stays declarative.
+The restore and sharded-index experiments (Table II, the sharding
+ablation) hinge on two facts: prefetch channels overlap OSS reads with
+restore CPU, and batching groups index lookups into fewer round trips.  The event simulator in
+:mod:`repro.sim.events` is checked against these closed forms.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
-
-
-def pipelined_time(stage_seconds: Iterable[float]) -> float:
-    """Duration of fully-overlapped pipeline stages: the slowest wins."""
-    times = list(stage_seconds)
-    if not times:
-        return 0.0
-    if any(t < 0 for t in times):
-        raise ValueError("stage durations must be non-negative")
-    return max(times)
-
-def serialized_time(stage_seconds: Iterable[float]) -> float:
-    """Duration when stages run strictly one after another."""
-    times = list(stage_seconds)
-    if any(t < 0 for t in times):
-        raise ValueError("stage durations must be non-negative")
-    return sum(times)
-
-
-def parallel_channel_time(
-    nbytes: float, channel_bandwidth: float, channels: int, cap: float = float("inf")
-) -> float:
-    """Seconds to move ``nbytes`` over ``channels`` parallel streams.
-
-    Aggregate bandwidth scales linearly with the channel count until it
-    hits ``cap`` (e.g. the node NIC).  This is the paper's observation that
-    "OSS can support multi-channel parallel read that achieves scalable
-    performance improvements".
-    """
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
-    if channel_bandwidth <= 0:
-        raise ValueError("channel bandwidth must be positive")
-    bandwidth = min(channel_bandwidth * channels, cap)
-    return nbytes / bandwidth
 
 
 def prefetched_restore_time(
@@ -69,36 +31,6 @@ def prefetched_restore_time(
     return max(cpu_seconds, download_seconds / threads)
 
 
-def pipelined_ingest_time(
-    chunk_seconds: Iterable[float],
-    lookup_seconds: Iterable[float],
-    flush_seconds: Iterable[float] = (),
-    setup_seconds: float = 0.0,
-    finish_seconds: float = 0.0,
-    channels: int = 1,
-) -> float:
-    """Lower bound of the segment-parallel ingest pipeline.
-
-    With enough chunk look-ahead and flush buffers the job is limited by
-    its spine — the first segment's chunking plus every segment's lookup,
-    run strictly in order — or by draining the container uploads over
-    ``channels`` OSS streams, whichever is slower.  The event-driven
-    schedule (:class:`repro.sim.events.BackupPipelineProcess`) approaches
-    this bound from above; bounded buffers, chunk stalls and channel
-    contention only add time, never remove it.
-    """
-    chunk = list(chunk_seconds)
-    lookup = list(lookup_seconds)
-    flush = list(flush_seconds)
-    if any(t < 0 for t in chunk + lookup + flush) or setup_seconds < 0 or finish_seconds < 0:
-        raise ValueError("stage durations must be non-negative")
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
-    spine = (chunk[0] if chunk else 0.0) + sum(lookup)
-    upload = sum(flush) / channels
-    return setup_seconds + max(spine, upload) + finish_seconds
-
-
 def batched_round_trips(keys: int, batch_size: int) -> int:
     """Index round trips needed to answer ``keys`` lookups in batches.
 
@@ -108,36 +40,3 @@ def batched_round_trips(keys: int, batch_size: int) -> int:
     if keys < 0 or batch_size < 1:
         raise ValueError(f"invalid keys={keys} batch_size={batch_size}")
     return -(-keys // batch_size)
-
-
-def sharded_drain_time(
-    per_shard_requests: Iterable[int], request_seconds: float
-) -> float:
-    """Seconds to drain per-shard request queues with one server per shard.
-
-    Shards are independent stores, so their queues drain concurrently and
-    the slowest shard sets the pace — the parallel-batch drain of the
-    G-node's reverse-dedup pass.
-    """
-    requests = list(per_shard_requests)
-    if any(r < 0 for r in requests):
-        raise ValueError("per-shard request counts must be non-negative")
-    if request_seconds < 0:
-        raise ValueError("request duration must be non-negative")
-    if not requests:
-        return 0.0
-    return max(requests) * request_seconds
-
-
-def contended_time(per_job_seconds: float, jobs: int, slots: int) -> float:
-    """Duration of ``jobs`` equal tasks on ``slots`` parallel executors.
-
-    Jobs queue in waves when they outnumber slots; this models both cores
-    on one node and L-nodes in the cluster.
-    """
-    if jobs < 0 or slots < 1:
-        raise ValueError(f"invalid jobs={jobs} slots={slots}")
-    if jobs == 0:
-        return 0.0
-    waves = -(-jobs // slots)  # ceiling division
-    return per_job_seconds * waves

@@ -234,9 +234,14 @@ def _run_slimstore(
     exec_mode: str,
     *,
     chaos_seed: int | None = None,
+    accounting: list | None = None,
     **rates,
 ):
-    """Ingest + restore the workload; return (bucket bytes, restores)."""
+    """Ingest + restore the workload; return (bucket bytes, restores).
+
+    With ``accounting``, each backup's virtual-time breakdown, uploaded
+    bytes and counters are appended to it in backup order.
+    """
     config = SMALL_CONFIG.with_overrides(workers=workers, exec_mode=exec_mode)
     if chaos_seed is None:
         store = SlimStore(config)
@@ -245,7 +250,11 @@ def _run_slimstore(
     try:
         for path, versions in workload.items():
             for data in versions:
-                store.backup(path, data)
+                result = store.backup(path, data).result
+                if accounting is not None:
+                    accounting.append(
+                        (result.breakdown, result.uploaded_bytes, result.counters)
+                    )
         restores = {
             (path, version): store.restore(path, version).data
             for path, versions in workload.items()
@@ -266,14 +275,26 @@ class TestSerialVsParallelParity:
     @pytest.mark.parametrize("seed", [101, 202])
     def test_parallel_repository_is_byte_identical(self, seed, workers, exec_mode):
         workload = _parity_workload(seed)
-        serial_state, serial_restores = _run_slimstore(workload, 0, "thread")
+        serial_accounting: list = []
+        parallel_accounting: list = []
+        serial_state, serial_restores = _run_slimstore(
+            workload, 0, "thread", accounting=serial_accounting
+        )
         parallel_state, parallel_restores = _run_slimstore(
-            workload, workers, exec_mode
+            workload, workers, exec_mode, accounting=parallel_accounting
         )
         assert parallel_restores == serial_restores
         assert parallel_state == serial_state, (
             f"workers={workers} mode={exec_mode}: repository bytes diverged"
         )
+        # The background container flush charges the same virtual upload
+        # time as the serial flush: every TimeBreakdown category, the
+        # uploaded bytes and the counters match backup for backup.
+        assert len(parallel_accounting) == len(serial_accounting)
+        for serial, parallel in zip(serial_accounting, parallel_accounting):
+            assert parallel[0] == serial[0]
+            assert parallel[1] == serial[1]
+            assert parallel[2].as_dict() == serial[2].as_dict()
         for path, versions in workload.items():
             for version, data in enumerate(versions):
                 assert serial_restores[(path, version)] == data

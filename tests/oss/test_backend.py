@@ -1,5 +1,7 @@
 """Tests for the OSS storage backends."""
 
+import os
+
 import pytest
 
 from repro.oss.backend import FilesystemBackend, InMemoryBackend
@@ -118,3 +120,41 @@ class TestFilesystemBackend:
         assert backend.get("k") == b"new"
         # No stray temp files left behind.
         assert list(backend.keys()) == ["k"]
+
+    def test_tmp_suffixed_key_survives_put_of_its_stem(self, tmp_path):
+        backend = FilesystemBackend(tmp_path)
+        backend.put("a.tmp", b"kept")
+        backend.put("a", b"other")
+        assert backend.get("a.tmp") == b"kept"
+        assert backend.get("a") == b"other"
+
+    def test_keys_lists_tmp_suffixed_keys(self, tmp_path):
+        backend = FilesystemBackend(tmp_path)
+        backend.put("log/active.wal.tmp", b"x")
+        backend.put("log/active.wal", b"y")
+        assert list(backend.keys()) == ["log/active.wal", "log/active.wal.tmp"]
+
+    def test_rejects_keys_in_the_staging_directory(self, tmp_path):
+        backend = FilesystemBackend(tmp_path)
+        for key in (".staging/x", "./.staging/x", ".staging"):
+            with pytest.raises(ValueError):
+                backend.put(key, b"x")
+
+    def test_interleaved_puts_of_one_key_both_land(self, tmp_path, monkeypatch):
+        backend = FilesystemBackend(tmp_path)
+        real_replace = os.replace
+        calls = []
+
+        def interleaving_replace(src, dst):
+            # The second put runs between the first put's write and rename.
+            calls.append(dst)
+            if len(calls) == 1:
+                backend.put("wal", b"second" * 100)
+            real_replace(src, dst)
+
+        monkeypatch.setattr("repro.oss.backend.os.replace", interleaving_replace)
+        backend.put("wal", b"first" * 100)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert backend.get("wal") in (b"first" * 100, b"second" * 100)
+        assert list(backend.keys()) == ["wal"]

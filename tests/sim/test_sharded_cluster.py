@@ -7,7 +7,7 @@ import pytest
 from repro.bench.scaling import sharded_index_drain_seconds
 from repro.core.cluster import ClusterSimulator, JobSpec, ShardedIndexSpec
 from repro.sim.cost_model import CostModel
-from repro.sim.parallel import batched_round_trips, sharded_drain_time
+from repro.sim.parallel import batched_round_trips
 
 MB = float(1 << 20)
 
@@ -25,10 +25,6 @@ class TestParallelHelpers:
             batched_round_trips(-1, 4)
         with pytest.raises(ValueError):
             batched_round_trips(4, 0)
-
-    def test_sharded_drain_is_paced_by_the_slowest_shard(self):
-        assert sharded_drain_time([3, 7, 2], 0.5) == pytest.approx(3.5)
-        assert sharded_drain_time([], 0.5) == 0.0
 
 
 class TestShardedIndexSpec:
